@@ -126,14 +126,14 @@ mod tests {
         let t = topology::uniform_threshold(7, 2);
         let procs: Vec<CbProcess> =
             (0..7).map(|i| CbProcess::new(pid(i), t.quorums.clone())).collect();
-        let mut sim = Simulation::new(procs, scheduler::Fifo);
+        let mut sim = Simulation::new(procs, scheduler::Fifo::new());
         sim.input(pid(0), (0, 1));
         assert!(sim.run(100_000).quiescent);
         let cb_msgs = sim.stats().sent;
 
         let procs: Vec<crate::ArbProcess> =
             (0..7).map(|i| crate::ArbProcess::new(pid(i), t.quorums.clone())).collect();
-        let mut sim = Simulation::new(procs, scheduler::Fifo);
+        let mut sim = Simulation::new(procs, scheduler::Fifo::new());
         sim.input(pid(0), (0, 1));
         assert!(sim.run(100_000).quiescent);
         let arb_msgs = sim.stats().sent;

@@ -166,7 +166,7 @@ mod tests {
     fn totality_with_crashed_origin_after_send() {
         // Origin crashes immediately after its SEND reaches the network; if
         // any correct process delivers, all correct processes deliver.
-        let mut sim = Simulation::new(cluster(4, 1, |_| ArbRole::Honest), scheduler::Fifo)
+        let mut sim = Simulation::new(cluster(4, 1, |_| ArbRole::Honest), scheduler::Fifo::new())
             .with_fault(pid(0), FaultMode::CrashAfter(0));
         sim.input(pid(0), (0, 5));
         assert!(sim.run(100_000).quiescent);
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn no_delivery_without_origin() {
         // Nothing broadcast: no outputs, ever.
-        let mut sim = Simulation::new(cluster(4, 1, |_| ArbRole::Honest), scheduler::Fifo);
+        let mut sim = Simulation::new(cluster(4, 1, |_| ArbRole::Honest), scheduler::Fifo::new());
         assert!(sim.run(1_000).quiescent);
         for i in 0..4 {
             assert!(sim.outputs(pid(i)).is_empty());

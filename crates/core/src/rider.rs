@@ -255,7 +255,7 @@ mod tests {
     fn commit_rate_approximates_two_thirds() {
         // The leader is in the common core with probability ≥ 2/3 in the
         // threshold model; over many waves most should commit directly.
-        let mut sim = Simulation::new(cluster(4, 1, 16), scheduler::Fifo);
+        let mut sim = Simulation::new(cluster(4, 1, 16), scheduler::Fifo::new());
         assert!(sim.run(50_000_000).quiescent);
         let m = sim.process(pid(0)).metrics();
         assert!(m.waves_attempted >= 12, "{m:?}");

@@ -222,7 +222,7 @@ mod tests {
         // With 2 of 4 processes crashed (> f = 1), nobody can finish.
         let n = 4;
         let procs: Vec<SymGather<u64>> = (0..n).map(|i| SymGather::new(pid(i), n, 1)).collect();
-        let mut sim = Simulation::new(procs, scheduler::Fifo)
+        let mut sim = Simulation::new(procs, scheduler::Fifo::new())
             .with_fault(pid(2), FaultMode::CrashedFromStart)
             .with_fault(pid(3), FaultMode::CrashedFromStart);
         sim.input(pid(0), 1);

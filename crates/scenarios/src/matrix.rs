@@ -6,13 +6,15 @@
 //! Combinations whose fault plan does not fit the topology are counted as
 //! skipped rather than silently dropped.
 
+use asym_crypto::{Digest, Sha256};
+
 use crate::checks::{run_and_check_all, ScenarioFailure};
 use crate::runner::ScenarioOutcome;
 use crate::spec::{Fault, FaultPlan, Scenario, SchedulerSpec, StorageSpec};
 use crate::{ByzAttack, TopologySpec};
 
 /// Measurements of one passed cell.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellStats {
     /// Longest commit log across honest processes (committed waves).
     pub commits: usize,
@@ -27,6 +29,11 @@ pub struct CellStats {
     /// Simulated time per committed wave (`time / commits`; infinite when
     /// nothing committed — legal in safety-only cells).
     pub commit_latency: f64,
+    /// SHA-256 over the cell's execution: every process's outputs (vertex
+    /// id, ordering wave and block), every commit log, the step count, the
+    /// final clock and the network counters. Equal digests across two
+    /// builds mean the cell ran identically.
+    pub digest: Digest,
 }
 
 impl CellStats {
@@ -44,7 +51,40 @@ impl CellStats {
             } else {
                 f64::INFINITY
             },
+            digest: Self::outcome_digest(o),
         }
+    }
+
+    fn outcome_digest(o: &ScenarioOutcome) -> Digest {
+        let mut h = Sha256::new();
+        let len = |n: usize| (n as u64).to_le_bytes();
+        h.update(&len(o.outputs.len()));
+        for outs in &o.outputs {
+            h.update(&len(outs.len()));
+            for v in outs {
+                h.update(&v.id.round.to_le_bytes())
+                    .update(&len(v.id.source.index()))
+                    .update(&v.committed_in_wave.to_le_bytes())
+                    .update(&len(v.block.txs.len()))
+                    .update(&v.block.encode());
+            }
+        }
+        h.update(&len(o.commit_logs.len()));
+        for log in &o.commit_logs {
+            h.update(&len(log.len()));
+            for (wave, leader) in log {
+                h.update(&wave.to_le_bytes())
+                    .update(&leader.round.to_le_bytes())
+                    .update(&len(leader.source.index()));
+            }
+        }
+        h.update(&o.steps.to_le_bytes())
+            .update(&o.time.to_le_bytes())
+            .update(&o.net.sent.to_le_bytes())
+            .update(&o.net.delivered.to_le_bytes())
+            .update(&o.net.dropped.to_le_bytes())
+            .update(&len(o.net.max_in_flight));
+        h.finalize()
     }
 }
 
@@ -84,6 +124,22 @@ impl MatrixReport {
                 _ => None,
             })
             .collect()
+    }
+
+    /// One `cell-label  hex` line per cell, in sweep order: the outcome
+    /// digest of a passed cell, `FAILED` or `UNBUILDABLE` otherwise. Two
+    /// builds that produce the same listing executed every cell identically.
+    pub fn digest_listing(&self) -> String {
+        let mut out = String::new();
+        for (scenario, status) in &self.cells {
+            let value = match status {
+                CellStatus::Passed(stats) => stats.digest.to_hex(),
+                CellStatus::Failed(_) => "FAILED".into(),
+                CellStatus::Unbuildable => "UNBUILDABLE".into(),
+            };
+            out.push_str(&format!("{}  {value}\n", scenario.cell()));
+        }
+        out
     }
 
     /// Number of unbuildable cells.
@@ -682,6 +738,13 @@ mod tests {
         assert_eq!(report.passed(), 2, "{}", report.render());
         report.assert_all_passed();
         assert!(report.render().contains("PASS"));
+        // The digest listing replays exactly and tells the two cells apart.
+        let listing = report.digest_listing();
+        assert_eq!(listing, m.run().digest_listing());
+        let digests: Vec<&str> = listing.lines().map(|l| l.rsplit("  ").next().unwrap()).collect();
+        assert_eq!(digests.len(), 2);
+        assert!(digests.iter().all(|d| d.len() == 64), "{listing}");
+        assert_ne!(digests[0], digests[1], "crashing p3 changes the execution");
     }
 
     #[test]

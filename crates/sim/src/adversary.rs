@@ -45,7 +45,7 @@ impl Adversary {
     /// equal descriptions build schedulers producing identical executions.
     pub fn build<M: Clone + core::fmt::Debug + 'static>(&self) -> Box<dyn Scheduler<M>> {
         match self {
-            Adversary::Fifo => Box::new(scheduler::Fifo),
+            Adversary::Fifo => Box::new(scheduler::Fifo::new()),
             Adversary::Random(seed) => Box::new(scheduler::Random::new(*seed)),
             Adversary::Latency { seed, min, max } => {
                 Box::new(scheduler::RandomLatency::new(*seed, *min, *max))

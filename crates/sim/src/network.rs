@@ -89,7 +89,7 @@ pub struct RunReport {
 ///     }
 /// }
 ///
-/// let mut sim = Simulation::new(vec![Ping, Ping, Ping], scheduler::Fifo);
+/// let mut sim = Simulation::new(vec![Ping, Ping, Ping], scheduler::Fifo::new());
 /// let report = sim.run(10_000);
 /// assert!(report.quiescent);
 /// assert_eq!(sim.outputs(ProcessId::new(0)).len(), 3);
@@ -363,6 +363,14 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
     /// Delivers one message chosen by the scheduler. Returns `false` if the
     /// scheduler starved (no deliverable message) and no process restart is
     /// pending.
+    ///
+    /// This is the pending-slice contract the [`Scheduler`] docs describe:
+    /// `step` calls [`Scheduler::next`] on the in-flight bag, `swap_remove`s
+    /// the picked index, then calls [`Scheduler::delivery_time`] with the
+    /// removed message; the receiver's new sends go to the tail of the bag
+    /// in `seq` order. [`Simulation::flush_starved`] removes messages
+    /// without telling the scheduler, which breaks the contract; the indexed
+    /// schedulers detect that and rebuild their index from the bag.
     pub fn step(&mut self) -> bool {
         self.start();
         self.fire_due_recoveries();
@@ -527,7 +535,7 @@ mod tests {
 
     #[test]
     fn all_broadcasts_delivered_under_fifo() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip, Gossip], scheduler::Fifo::new());
         let report = sim.run(1_000);
         assert!(report.quiescent);
         assert_eq!(report.steps, 16, "4 broadcasts × 4 recipients");
@@ -554,7 +562,7 @@ mod tests {
 
     #[test]
     fn crashed_from_start_sends_and_receives_nothing() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo)
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::new())
             .with_fault(ProcessId::new(2), FaultMode::CrashedFromStart);
         sim.run(1_000);
         // p2 broadcast suppressed: others see 2 messages each.
@@ -565,7 +573,7 @@ mod tests {
 
     #[test]
     fn mute_receives_but_never_sends() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo)
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::new())
             .with_fault(ProcessId::new(1), FaultMode::Mute);
         sim.run(1_000);
         assert_eq!(sim.outputs(ProcessId::new(1)).len(), 2, "mute still receives");
@@ -574,7 +582,7 @@ mod tests {
 
     #[test]
     fn crash_after_k_deliveries() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo)
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::new())
             .with_fault(ProcessId::new(0), FaultMode::CrashAfter(1));
         sim.run(1_000);
         assert_eq!(sim.outputs(ProcessId::new(0)).len(), 1, "processed one delivery only");
@@ -607,8 +615,12 @@ mod tests {
 
     #[test]
     fn restart_after_crash_window_rejoins() {
-        let mut sim = Simulation::new(vec![Restartable, Restartable, Restartable], scheduler::Fifo)
-            .with_fault(ProcessId::new(0), FaultMode::RestartAfter { crash_at: 1, recover_at: 4 });
+        let mut sim =
+            Simulation::new(vec![Restartable, Restartable, Restartable], scheduler::Fifo::new())
+                .with_fault(
+                    ProcessId::new(0),
+                    FaultMode::RestartAfter { crash_at: 1, recover_at: 4 },
+                );
         let report = sim.run(1_000);
         assert!(report.quiescent);
         // p0 heard its own 1, crashed (dropping p1's 1), recovered at step 4
@@ -624,11 +636,12 @@ mod tests {
     fn recovery_is_forced_at_quiescence_if_network_drains_first() {
         // recover_at far beyond the traffic: the drained network must still
         // bring the process back ("the operator eventually restarts it").
-        let mut sim = Simulation::new(vec![Restartable, Restartable, Restartable], scheduler::Fifo)
-            .with_fault(
-                ProcessId::new(2),
-                FaultMode::RestartAfter { crash_at: 0, recover_at: 1_000_000 },
-            );
+        let mut sim =
+            Simulation::new(vec![Restartable, Restartable, Restartable], scheduler::Fifo::new())
+                .with_fault(
+                    ProcessId::new(2),
+                    FaultMode::RestartAfter { crash_at: 0, recover_at: 1_000_000 },
+                );
         let report = sim.run(1_000);
         assert!(report.quiescent);
         let out2 = sim.outputs(ProcessId::new(2));
@@ -654,7 +667,7 @@ mod tests {
 
     #[test]
     fn inputs_reach_the_network() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo::new());
         sim.run(100);
         sim.input(ProcessId::new(0), 42);
         sim.run(100);
@@ -664,7 +677,7 @@ mod tests {
 
     #[test]
     fn run_until_predicate() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::new());
         let ok = sim.run_until(1_000, |s| s.outputs(ProcessId::new(1)).len() >= 2);
         assert!(ok);
         assert!(sim.in_flight() > 0, "stopped before quiescence");
@@ -695,7 +708,7 @@ mod tests {
 
     #[test]
     fn take_outputs_drains() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo::new());
         sim.run(100);
         let got = sim.take_outputs(ProcessId::new(0));
         assert_eq!(got.len(), 2);

@@ -1,10 +1,14 @@
 //! Scheduler guarantees the scenario harness leans on: executions are
 //! replayable (same seed ⇒ identical delivery order) and no adversary except
 //! the explicitly-starving ones leaves correct-to-correct traffic undelivered
-//! in a completed (quiescent) run.
+//! in a completed (quiescent) run. The indexed schedulers also pick exactly
+//! what the linear scans they replaced would pick (the oracle below).
 
 use asym_quorum::{ProcessId, ProcessSet};
-use asym_sim::{scheduler, Adversary, Context, FaultMode, Protocol, Simulation};
+use asym_sim::scheduler::{self, InFlight, Scheduler};
+use asym_sim::{Adversary, Context, FaultMode, Protocol, Simulation, Step};
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -147,5 +151,231 @@ fn filtered_scheduler_starves_only_disallowed_traffic() {
     assert!(!leftovers.is_empty(), "the filter must have starved something");
     for (from, _to) in leftovers {
         assert_eq!(from.index(), 2, "only disallowed traffic may be starved");
+    }
+}
+
+/// The linear-scan schedulers the indexed ones replaced, kept verbatim as the
+/// oracle: every pick and delivery time of an indexed scheduler must equal
+/// its reference's.
+mod reference {
+    use super::*;
+    use std::collections::HashMap;
+
+    fn oldest<M>(pending: &[InFlight<M>], keep: impl Fn(&InFlight<M>) -> bool) -> Option<usize> {
+        pending
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| keep(m))
+            .min_by_key(|(_, m)| m.seq)
+            .map(|(i, _)| i)
+    }
+
+    pub struct Fifo;
+
+    impl<M> Scheduler<M> for Fifo {
+        fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
+            oldest(pending, |_| true)
+        }
+    }
+
+    pub struct RandomLatency {
+        pub rng: SmallRng,
+        pub min: Step,
+        pub max: Step,
+        pub deadlines: HashMap<u64, Step>,
+    }
+
+    impl RandomLatency {
+        fn deadline(&mut self, m: &InFlight<impl Sized>) -> Step {
+            let (rng, min, max) = (&mut self.rng, self.min, self.max);
+            *self.deadlines.entry(m.seq).or_insert_with(|| m.sent_at + rng.random_range(min..=max))
+        }
+    }
+
+    impl<M> Scheduler<M> for RandomLatency {
+        fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
+            let mut best: Option<(usize, Step, u64)> = None;
+            for (i, m) in pending.iter().enumerate() {
+                let d = self.deadline(m);
+                let better = match best {
+                    None => true,
+                    Some((_, bd, bseq)) => (d, m.seq) < (bd, bseq),
+                };
+                if better {
+                    best = Some((i, d, m.seq));
+                }
+            }
+            best.map(|(i, _, _)| i)
+        }
+
+        fn delivery_time(&mut self, chosen: &InFlight<M>, now: Step) -> Step {
+            let d = self.deadline(chosen);
+            self.deadlines.remove(&chosen.seq);
+            d.max(now)
+        }
+    }
+
+    pub struct TargetedDelay(pub ProcessSet);
+
+    impl<M> Scheduler<M> for TargetedDelay {
+        fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
+            oldest(pending, |m| !self.0.contains(m.from) && !self.0.contains(m.to))
+                .or_else(|| oldest(pending, |_| true))
+        }
+    }
+
+    pub struct Starve(pub ProcessSet);
+
+    impl<M> Scheduler<M> for Starve {
+        fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
+            oldest(pending, |m| !self.0.contains(m.from) && !self.0.contains(m.to))
+        }
+    }
+
+    pub struct Partition {
+        pub groups: Vec<ProcessSet>,
+        pub heal_at: Step,
+        pub healed: bool,
+    }
+
+    impl<M> Scheduler<M> for Partition {
+        fn next(&mut self, pending: &[InFlight<M>], now: Step) -> Option<usize> {
+            if now >= self.heal_at {
+                self.healed = true;
+            }
+            if !self.healed {
+                let groups = &self.groups;
+                let intra = oldest(pending, |m| {
+                    groups.iter().any(|g| g.contains(m.from) && g.contains(m.to))
+                });
+                if intra.is_some() {
+                    return intra;
+                }
+                if pending.is_empty() {
+                    return None;
+                }
+                self.healed = true;
+            }
+            oldest(pending, |_| true)
+        }
+    }
+}
+
+/// Drives `indexed` and `reference` over one seeded random trace of the
+/// in-flight bag and asserts identical picks, delivery times and
+/// `state(indexed) == state(reference)` after every event. The trace mixes
+/// tail pushes of new sends, `swap_remove` + `delivery_time` of the pick (a
+/// [`Simulation::step`]), `next` without a removal (the quiescence probe),
+/// removals the schedulers are not told about (a
+/// [`Simulation::flush_starved`] delivery), and two breaches of the
+/// pending-slice contract: `delivery_time` for a message other than the
+/// pick, and for a pick that stays in the bag.
+fn assert_matches_reference<A: Scheduler<u8>, B: Scheduler<u8>, T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    seed: u64,
+    mut indexed: A,
+    mut reference: B,
+    state: impl Fn(&A, &B) -> (T, T),
+) {
+    const N: usize = 7;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut pending: Vec<InFlight<u8>> = Vec::new();
+    let (mut seq, mut now) = (0u64, 0);
+    for event in 0..3_000 {
+        let ctx = format!("{name} seed={seed} event={event} now={now} in_flight={}", pending.len());
+        let roll = rng.random_range(0..100u32);
+        if roll < 35 && pending.len() < 120 {
+            // New sends, pushed at the tail in seq order.
+            let from = ProcessId::new(rng.random_range(0..N));
+            for _ in 0..rng.random_range(1..=N) {
+                let to = ProcessId::new(rng.random_range(0..N));
+                pending.push(InFlight { seq, from, to, sent_at: now, msg: 0 });
+                seq += 1;
+            }
+        } else if roll < 80 {
+            let pick = indexed.next(&pending, now);
+            assert_eq!(pick, reference.next(&pending, now), "pick: {ctx}");
+            if let Some(i) = pick {
+                let m = pending.swap_remove(i);
+                let at = indexed.delivery_time(&m, now);
+                assert_eq!(at, reference.delivery_time(&m, now), "delivery time: {ctx}");
+                now = at;
+            }
+        } else if roll < 88 {
+            assert_eq!(indexed.next(&pending, now), reference.next(&pending, now), "probe: {ctx}");
+        } else if roll < 96 {
+            // flush_starved: oldest first, clock +1, schedulers not told.
+            if let Some(i) = (0..pending.len()).min_by_key(|i| pending[*i].seq) {
+                pending.swap_remove(i);
+                now += 1;
+            }
+        } else if roll < 98 && !pending.is_empty() {
+            // A delivery of some message other than the pick.
+            let m = pending.swap_remove(rng.random_range(0..pending.len()));
+            let at = indexed.delivery_time(&m, now);
+            assert_eq!(at, reference.delivery_time(&m, now), "non-pick delivery time: {ctx}");
+            now = at;
+        } else if roll >= 98 {
+            // The pick reported delivered but left in the bag.
+            let pick = indexed.next(&pending, now);
+            assert_eq!(pick, reference.next(&pending, now), "pick: {ctx}");
+            if let Some(i) = pick {
+                let at = indexed.delivery_time(&pending[i], now);
+                assert_eq!(at, reference.delivery_time(&pending[i], now), "kept pick: {ctx}");
+                now = at;
+            }
+        }
+        let (a, b) = state(&indexed, &reference);
+        assert_eq!(a, b, "state: {ctx}");
+    }
+}
+
+fn stateless<A, B>(_: &A, _: &B) -> ((), ()) {
+    ((), ())
+}
+
+#[test]
+fn indexed_schedulers_match_the_linear_scans() {
+    let victims = ProcessSet::from_indices([1, 4]);
+    let groups = vec![ProcessSet::from_indices([0, 1, 2]), ProcessSet::from_indices([3, 4, 5])];
+    for seed in 0..12 {
+        assert_matches_reference("fifo", seed, scheduler::Fifo::new(), reference::Fifo, stateless);
+        for (min, max) in [(1, 25), (3, 5)] {
+            assert_matches_reference(
+                "latency",
+                seed,
+                scheduler::RandomLatency::new(seed, min, max),
+                reference::RandomLatency {
+                    rng: SmallRng::seed_from_u64(seed),
+                    min,
+                    max,
+                    deadlines: Default::default(),
+                },
+                stateless,
+            );
+        }
+        assert_matches_reference(
+            "targeted-delay",
+            seed,
+            scheduler::TargetedDelay::new(victims.clone()),
+            reference::TargetedDelay(victims.clone()),
+            stateless,
+        );
+        assert_matches_reference(
+            "starve",
+            seed,
+            scheduler::Starve::new(victims.clone()),
+            reference::Starve(victims.clone()),
+            stateless,
+        );
+        for heal_at in [150, 1_000_000] {
+            assert_matches_reference(
+                "partition",
+                seed,
+                scheduler::Partition::new(groups.clone(), heal_at),
+                reference::Partition { groups: groups.clone(), heal_at, healed: false },
+                |a, b| (a.healed(), b.healed),
+            );
+        }
     }
 }

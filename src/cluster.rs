@@ -32,7 +32,8 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// Asserts pairwise prefix consistency of the outputs of the given
-    /// processes (the atomic-broadcast total-order property).
+    /// processes (the atomic-broadcast total-order property): at every common
+    /// position both delivered the same vertex id *and* the same block.
     ///
     /// # Panics
     ///
@@ -46,6 +47,11 @@ impl ClusterReport {
                     assert_eq!(
                         oa[k].id, ob[k].id,
                         "total order violated between {a} and {b} at position {k}"
+                    );
+                    assert_eq!(
+                        oa[k].block, ob[k].block,
+                        "{a} and {b} delivered {} at position {k} with different blocks",
+                        oa[k].id
                     );
                 }
             }
@@ -287,6 +293,17 @@ mod tests {
         report.assert_total_order(&ProcessSet::full(4));
         assert!(report.net.sent >= report.net.delivered);
         assert!(report.waves_per_commit().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "with different blocks")]
+    fn total_order_check_catches_a_same_id_block_fork() {
+        let mut report = Cluster::new(topology::uniform_threshold(4, 1))
+            .adversary(Adversary::Random(3))
+            .waves(4)
+            .run_asymmetric();
+        report.outputs[1][0].block = Block::new(vec![424_242]);
+        report.assert_total_order(&ProcessSet::full(4));
     }
 
     #[test]

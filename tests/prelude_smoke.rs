@@ -33,7 +33,7 @@ fn prelude_names_resolve_and_construct() {
     assert_eq!(t.n(), 4);
 
     // asym_sim re-exports: the scheduler module and fault plumbing.
-    let _fifo = scheduler::Fifo;
+    let _fifo = scheduler::Fifo::new();
     let _random = scheduler::Random::new(7);
     let _mode: FaultMode = FaultMode::CrashedFromStart;
 
@@ -50,7 +50,7 @@ fn umbrella_module_re_exports_are_wired() {
     assert_eq!(asym_dag_rider::quorum::ProcessId::new(1).index(), 1);
     let d = asym_dag_rider::crypto::sha256(b"wiring");
     assert_eq!(d, asym_dag_rider::crypto::sha256(b"wiring"));
-    let _ = asym_dag_rider::sim::scheduler::Fifo;
+    let _ = asym_dag_rider::sim::scheduler::Fifo::new();
     let v = asym_dag_rider::dag::VertexId::new(0, ProcessId::new(0));
     assert_eq!(v.round, 0);
     // broadcast, gather and core are exercised indirectly by the cluster
