@@ -1,6 +1,6 @@
 //! Microbenchmarks of the quorum-system substrate: set algebra, quorum
-//! membership tests (the hot path of every protocol step), B³ validation and
-//! guild computation.
+//! membership tests (the hot path of every protocol step), B³ and quorum
+//! validation, and guild computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -57,9 +57,19 @@ fn bench_b3_validation(c: &mut Criterion) {
     let fig1 = counterexample::fig1_fail_prone();
     g.bench_function("fig1-explicit-n30", |b| b.iter(|| black_box(fig1.satisfies_b3())));
     let thr = topology::uniform_threshold(100, 33).fail_prone;
-    g.bench_function("threshold-n100-fastpath", |b| b.iter(|| black_box(thr.satisfies_b3())));
+    g.bench_function("threshold-n100", |b| b.iter(|| black_box(thr.satisfies_b3())));
     let ripple = topology::ripple_unl(12, 10, 1).fail_prone;
     g.bench_function("ripple-n12", |b| b.iter(|| black_box(ripple.satisfies_b3())));
+    // The benchmark's asymmetric topology (perfbench workload slices-n16).
+    let slices = topology::TopologySpec::RandomSlices { n: 16, slice: 12, f: 2, seed: 11 }
+        .build()
+        .expect("seed 11 finds a valid n = 16 slice system");
+    g.bench_function("random-slices-n16", |b| {
+        b.iter(|| black_box(slices.fail_prone.satisfies_b3()))
+    });
+    g.bench_function("random-slices-n16-validate", |b| {
+        b.iter(|| black_box(slices.quorums.validate(&slices.fail_prone).is_ok()))
+    });
     g.finish();
 }
 

@@ -14,6 +14,7 @@
 //! equivalent to the existence of an asymmetric quorum system (Theorem 2.4);
 //! [`AsymFailProneSystem::canonical_quorums`] realizes the canonical witness.
 
+use crate::slice_view::{self, View};
 use crate::{FailProneSystem, ProcessId, ProcessSet, QuorumError, QuorumSystem};
 
 /// An asymmetric fail-prone system `F = [F_1, …, F_n]`: one fail-prone system
@@ -102,73 +103,33 @@ impl AsymFailProneSystem {
 
     /// Returns a witness of a B³ violation, or `None` if B³ holds.
     ///
-    /// The maximal elements of `F_i* ∩ F_j*` are the pairwise intersections of
-    /// maximal sets, so quantifying over those suffices.
+    /// Threshold and slice-threshold systems are checked in closed form. View
+    /// `F_i` as the slice `(S_i, f_i)`: it fails everything outside `S_i` plus
+    /// up to `f_i` members of `S_i` (a threshold system is the slice `S = P`).
+    /// Then `F_i ∪ F_j` covers `P ∖ (S_i ∩ S_j)` plus at most `f_i + f_j`
+    /// members of `S_i ∩ S_j`, and the rest is a common fail-prone set iff it
+    /// has at most `min(f_i, f_j)` members. So B³ fails for `(i, j)` iff
+    /// `|S_i ∩ S_j| ≤ f_i + f_j + min(f_i, f_j)`, an allocation-free popcount.
+    /// The witness takes `f_i`, then `f_j`, then the rest of `S_i ∩ S_j`, the
+    /// first two united with the complement of their slice.
     ///
-    /// Fast path: if every process uses a threshold system, B³ reduces to
-    /// `∀i,j: f_i + f_j + min(f_i, f_j) < n`.
+    /// A pair with an `Explicit` system enumerates: the maximal elements of
+    /// `F_i* ∩ F_j*` are the pairwise intersections of maximal sets, so
+    /// quantifying over those suffices.
     pub fn b3_violation(&self) -> Option<QuorumError> {
         let n = self.n();
-        // Fast path for all-threshold systems.
-        let thresholds: Option<Vec<usize>> = self
-            .systems
-            .iter()
-            .map(|s| match s {
-                FailProneSystem::Threshold { f, .. } => Some(*f),
-                FailProneSystem::Explicit { .. } | FailProneSystem::SliceThreshold { .. } => None,
-            })
-            .collect();
-        if let Some(fs) = thresholds {
-            for i in 0..n {
-                for j in i..n {
-                    let (fi, fj) = (fs[i], fs[j]);
-                    if fi + fj + fi.min(fj) >= n {
-                        // Build a concrete witness: three disjoint-ish slices.
-                        let a = ProcessSet::from_indices(0..fi.min(n));
-                        let b = ProcessSet::from_indices(fi..(fi + fj).min(n));
-                        let rest: Vec<usize> = ((fi + fj).min(n)..n).chain(0..fi.min(fj)).collect();
-                        let c: ProcessSet = rest.into_iter().take(fi.min(fj)).collect();
-                        return Some(QuorumError::B3Violation {
-                            i: ProcessId::new(i),
-                            j: ProcessId::new(j),
-                            fi: a,
-                            fj: b,
-                            fij: c,
-                        });
-                    }
-                }
-            }
-            return None;
-        }
-
         let full = ProcessSet::full(n);
-        let maximal: Vec<Vec<ProcessSet>> =
-            self.systems.iter().map(FailProneSystem::maximal_sets).collect();
+        let views: Vec<View<'_>> = self.systems.iter().map(FailProneSystem::view).collect();
         for i in 0..n {
             for j in i..n {
-                // Maximal common fail-prone sets of (i, j).
-                let mut common: Vec<ProcessSet> = Vec::new();
-                for a in &maximal[i] {
-                    for b in &maximal[j] {
-                        common.push(a.intersection(b));
-                    }
-                }
-                crate::combinatorics::retain_maximal(&mut common);
-                for fi in &maximal[i] {
-                    for fj in &maximal[j] {
-                        let union = fi.union(fj);
-                        for fij in &common {
-                            if union.union(fij) == full {
-                                return Some(QuorumError::B3Violation {
-                                    i: ProcessId::new(i),
-                                    j: ProcessId::new(j),
-                                    fi: fi.clone(),
-                                    fj: fj.clone(),
-                                    fij: fij.clone(),
-                                });
-                            }
-                        }
-                    }
+                if let Some([fi, fj, fij]) = slice_view::b3_violation(&full, &views[i], &views[j]) {
+                    return Some(QuorumError::B3Violation {
+                        i: ProcessId::new(i),
+                        j: ProcessId::new(j),
+                        fi,
+                        fj,
+                        fij,
+                    });
                 }
             }
         }
@@ -295,9 +256,17 @@ impl AsymQuorumSystem {
     /// fail-prone system:
     /// `∀i,j, ∀Q_i ∈ Q_i, ∀Q_j ∈ Q_j, ∀F_ij ∈ F_i* ∩ F_j*: Q_i ∩ Q_j ⊄ F_ij`.
     ///
-    /// Enumerates minimal quorums and maximal common fail-prone sets; intended
-    /// for explicit systems or small thresholds. For uniform threshold systems
-    /// the symmetric fast path is used.
+    /// A pair of threshold or slice systems whose quorum slices equal their
+    /// fail-prone slices (`A_i = S_i`, as [`AsymFailProneSystem::canonical_quorums`]
+    /// and every topology generator produce) is checked in closed form. Then
+    /// `Q_i ∩ Q_j ⊆ S_i ∩ S_j`, so it is a common fail-prone set iff it has at
+    /// most `min(f_i, f_j)` members, and the smallest intersection of a
+    /// `q_i`-subset of `S_i` and a `q_j`-subset of `S_j` has
+    /// `max(0, q_i + q_j − |S_i ∪ S_j|)` members. So consistency fails for
+    /// `(i, j)` iff `max(0, q_i + q_j − |S_i ∪ S_j|) ≤ min(f_i, f_j)`.
+    ///
+    /// Pairs with an `Explicit` system or with `A_i ≠ S_i` enumerate minimal
+    /// quorums and maximal common fail-prone sets.
     ///
     /// # Errors
     ///
@@ -307,45 +276,23 @@ impl AsymQuorumSystem {
         if n != fps.n() {
             return Err(QuorumError::MismatchedUniverse { expected: fps.n(), got: n });
         }
-        // Fast path: all processes share one threshold quorum/fail-prone pair.
-        if let (QuorumSystem::Threshold { .. }, FailProneSystem::Threshold { .. }) =
-            (&self.systems[0], &fps.systems[0])
-        {
-            let all_same = self.systems.iter().all(|s| *s == self.systems[0])
-                && fps.systems.iter().all(|s| *s == fps.systems[0]);
-            if all_same {
-                return self.systems[0].check_consistency(&fps.systems[0]);
-            }
-        }
-
-        let quorums: Vec<Vec<ProcessSet>> =
-            self.systems.iter().map(QuorumSystem::minimal_quorums).collect();
-        let maximal: Vec<Vec<ProcessSet>> =
-            fps.systems.iter().map(FailProneSystem::maximal_sets).collect();
+        let quorums: Vec<View<'_>> = self.systems.iter().map(QuorumSystem::view).collect();
+        let fail_prone: Vec<View<'_>> = fps.systems.iter().map(FailProneSystem::view).collect();
         for i in 0..n {
             for j in i..n {
-                let mut common: Vec<ProcessSet> = Vec::new();
-                for a in &maximal[i] {
-                    for b in &maximal[j] {
-                        common.push(a.intersection(b));
-                    }
-                }
-                crate::combinatorics::retain_maximal(&mut common);
-                for qi in &quorums[i] {
-                    for qj in &quorums[j] {
-                        let inter = qi.intersection(qj);
-                        for fij in &common {
-                            if inter.is_subset(fij) {
-                                return Err(QuorumError::ConsistencyViolation {
-                                    i: ProcessId::new(i),
-                                    j: ProcessId::new(j),
-                                    qi: qi.clone(),
-                                    qj: qj.clone(),
-                                    fij: fij.clone(),
-                                });
-                            }
-                        }
-                    }
+                if let Some([qi, qj, fij]) = slice_view::consistency_violation(
+                    &quorums[i],
+                    &fail_prone[i],
+                    &quorums[j],
+                    &fail_prone[j],
+                ) {
+                    return Err(QuorumError::ConsistencyViolation {
+                        i: ProcessId::new(i),
+                        j: ProcessId::new(j),
+                        qi,
+                        qj,
+                        fij,
+                    });
                 }
             }
         }
@@ -355,6 +302,13 @@ impl AsymQuorumSystem {
     /// Checks asymmetric quorum **availability** (Definition 2.1):
     /// `∀i, ∀F_i ∈ F_i: ∃Q_i ∈ Q_i: F_i ∩ Q_i = ∅`.
     ///
+    /// A threshold or slice quorum system `(A_i, q_i)` against a threshold or
+    /// slice fail-prone system `(S_i, f_i)` is checked in closed form: a quorum
+    /// avoiding `(P ∖ S_i) ∪ C` lies in `(A_i ∩ S_i) ∖ C`, and the worst `C`
+    /// takes `f_i` members of `A_i ∩ S_i`. So availability fails for `i` iff
+    /// `|A_i ∩ S_i| < q_i + f_i`, which for `A_i = S_i` is `q_i + f_i > |S_i|`.
+    /// `Explicit` systems are enumerated.
+    ///
     /// # Errors
     ///
     /// Returns the first process/fail-prone set with no disjoint quorum.
@@ -363,27 +317,12 @@ impl AsymQuorumSystem {
         if n != fps.n() {
             return Err(QuorumError::MismatchedUniverse { expected: fps.n(), got: n });
         }
-        for i in 0..n {
-            match (&self.systems[i], &fps.systems[i]) {
-                (QuorumSystem::Threshold { q, .. }, FailProneSystem::Threshold { f, .. }) => {
-                    if q + f > n {
-                        return Err(QuorumError::AvailabilityViolation {
-                            process: ProcessId::new(i),
-                            fail_prone: ProcessSet::from_indices(0..*f),
-                        });
-                    }
-                }
-                _ => {
-                    let quorums = self.systems[i].minimal_quorums();
-                    for fset in fps.systems[i].maximal_sets() {
-                        if !quorums.iter().any(|q| q.is_disjoint(&fset)) {
-                            return Err(QuorumError::AvailabilityViolation {
-                                process: ProcessId::new(i),
-                                fail_prone: fset,
-                            });
-                        }
-                    }
-                }
+        for (i, (qs, fs)) in self.systems.iter().zip(&fps.systems).enumerate() {
+            if let Some(fail_prone) = slice_view::availability_violation(&qs.view(), &fs.view()) {
+                return Err(QuorumError::AvailabilityViolation {
+                    process: ProcessId::new(i),
+                    fail_prone,
+                });
             }
         }
         Ok(())
@@ -534,7 +473,7 @@ mod tests {
     fn uniform_threshold_consistency_fast_path() {
         let fps = AsymFailProneSystem::uniform(FailProneSystem::threshold(31, 10));
         let qs = fps.canonical_quorums();
-        // Large n: must finish fast (fast path, no enumeration).
+        // Large n: must finish fast (closed form, no enumeration).
         assert!(qs.validate(&fps).is_ok());
     }
 }

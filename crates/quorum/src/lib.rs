@@ -48,6 +48,7 @@ mod error;
 mod guild;
 mod pid;
 mod set;
+mod slice_view;
 mod symmetric;
 pub mod topology;
 

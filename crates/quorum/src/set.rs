@@ -132,6 +132,33 @@ impl ProcessSet {
         self.blocks.is_empty()
     }
 
+    /// Returns `|self ∩ other|` without building the intersection.
+    ///
+    /// ```
+    /// use asym_quorum::ProcessSet;
+    ///
+    /// let a = ProcessSet::from_indices([0, 1, 2, 70]);
+    /// let b = ProcessSet::from_indices([1, 2, 3, 70]);
+    /// assert_eq!(a.intersection_len(&b), 3);
+    /// ```
+    #[inline]
+    pub fn intersection_len(&self, other: &Self) -> usize {
+        self.blocks.iter().zip(&other.blocks).map(|(a, b)| (a & b).count_ones() as usize).sum()
+    }
+
+    /// Returns the number of members below `n`, i.e. `|self ∩ {p_0, …, p_{n-1}}|`,
+    /// without building either set.
+    #[inline]
+    pub(crate) fn len_below(&self, n: usize) -> usize {
+        let (whole, rem) = (n / BITS, n % BITS);
+        let low: usize = self.blocks.iter().take(whole).map(|b| b.count_ones() as usize).sum();
+        let partial = match self.blocks.get(whole) {
+            Some(b) if rem != 0 => (b & ((1u64 << rem) - 1)).count_ones() as usize,
+            _ => 0,
+        };
+        low + partial
+    }
+
     /// Returns the union `self ∪ other`.
     pub fn union(&self, other: &Self) -> Self {
         let (long, short) =
@@ -600,6 +627,16 @@ mod tests {
             prop_assert!(d.is_disjoint(&sb));
             prop_assert_eq!(i.union(&d), sa.clone());
             prop_assert_eq!(i.len() + d.len(), sa.len());
+            prop_assert_eq!(sa.intersection_len(&sb), i.len());
+        }
+
+        #[test]
+        fn prop_len_below_counts_the_universe_prefix(
+            a in proptest::collection::vec(0usize..200, 0..40),
+            n in 0usize..200,
+        ) {
+            let sa = ProcessSet::from_indices(a.iter().copied());
+            prop_assert_eq!(sa.len_below(n), sa.intersection(&ProcessSet::full(n)).len());
         }
 
         #[test]

@@ -5,13 +5,15 @@
 //! quorum system* `Q` whose quorums pairwise intersect outside every common
 //! fail-prone set (consistency) and avoid every fail-prone set (availability).
 //!
-//! Threshold systems (`f` out of `n`) are represented implicitly so that
-//! membership and kernel tests are `O(1)` instead of enumerating `C(n, f)`
-//! subsets; explicit systems carry the antichain of maximal fail-prone sets /
-//! minimal quorums.
+//! Threshold systems (`f` out of `n`) and slice-threshold systems are
+//! represented implicitly, as a slice and a threshold, so that membership,
+//! kernel and validation checks compare popcounts instead of enumerating
+//! `C(n, f)` subsets; explicit systems carry the antichain of maximal
+//! fail-prone sets / minimal quorums.
 
-use crate::combinatorics::{combinations, minimal_hitting_sets, retain_maximal, retain_minimal};
-use crate::{ProcessSet, QuorumError};
+use crate::combinatorics::{minimal_hitting_sets, retain_maximal, retain_minimal};
+use crate::slice_view::{self, View};
+use crate::{ProcessId, ProcessSet, QuorumError};
 
 /// A symmetric fail-prone system: the collection of sets of processes that may
 /// jointly fail in some execution.
@@ -122,34 +124,23 @@ impl FailProneSystem {
     /// Returns `true` if `faulty ∈ F*`, i.e. the system *foresees* this set of
     /// failures (some fail-prone set contains it).
     pub fn covers(&self, faulty: &ProcessSet) -> bool {
-        match self {
-            FailProneSystem::Threshold { n, f } => {
-                faulty.len() <= *f && faulty.max_id().is_none_or(|m| m.index() < *n)
+        match self.view() {
+            View::Slice(s) => {
+                s.count(faulty) <= s.t && faulty.max_id().is_none_or(|m| m.index() < self.n())
             }
-            FailProneSystem::Explicit { sets, .. } => sets.iter().any(|s| faulty.is_subset(s)),
-            FailProneSystem::SliceThreshold { n, slice, f } => {
-                faulty.intersection(slice).len() <= *f
-                    && faulty.max_id().is_none_or(|m| m.index() < *n)
-            }
+            View::Explicit(sets) => sets.iter().any(|s| faulty.is_subset(s)),
         }
     }
 
     /// Returns the maximal fail-prone sets.
     ///
-    /// For threshold systems this *enumerates* all `C(n, f)` subsets — only
-    /// call it on small systems (figure regeneration, tests). All validation
-    /// fast-paths avoid this enumeration.
+    /// For threshold and slice-threshold systems this *enumerates* all
+    /// `C(|S|, f)` sets, for inspection and tests. Validation does not need
+    /// it: B³, consistency and availability have closed forms over the slice
+    /// and enumerate only where an `Explicit` system is involved (or, for
+    /// consistency, a quorum slice that differs from its fail-prone slice).
     pub fn maximal_sets(&self) -> Vec<ProcessSet> {
-        match self {
-            FailProneSystem::Threshold { n, f } => {
-                combinations(&ProcessSet::full(*n), *f).collect()
-            }
-            FailProneSystem::Explicit { sets, .. } => sets.clone(),
-            FailProneSystem::SliceThreshold { n, slice, f } => {
-                let outside = slice.complement(*n);
-                combinations(slice, *f).map(|c| c.union(&outside)).collect()
-            }
-        }
+        self.view().maximal_sets().into_owned()
     }
 
     /// Checks the Q³ condition: no three fail-prone sets cover `P`.
@@ -162,28 +153,10 @@ impl FailProneSystem {
 
     /// Returns a witness of a Q³ violation, or `None` if Q³ holds.
     pub fn q3_violation(&self) -> Option<[ProcessSet; 3]> {
-        match self {
-            FailProneSystem::Threshold { n, f } => {
-                if *n > 3 * *f {
-                    None
-                } else {
-                    // Witness: three consecutive slices of size f (padded with
-                    // the last processes if 3f > n they overlap arbitrarily).
-                    let a = ProcessSet::from_indices(0..*f);
-                    let b = ProcessSet::from_indices(*f..(2 * *f).min(*n));
-                    let mut c = ProcessSet::from_indices((2 * *f).min(*n)..*n);
-                    // Pad c up to f elements to stay a fail-prone set.
-                    for i in 0..*n {
-                        if c.len() >= *f {
-                            break;
-                        }
-                        c.insert(crate::ProcessId::new(i));
-                    }
-                    Some([a, b, c])
-                }
-            }
-            FailProneSystem::Explicit { n, sets } => {
-                let full = ProcessSet::full(*n);
+        match self.view() {
+            View::Slice(s) => s.q3_violation(),
+            View::Explicit(sets) => {
+                let full = ProcessSet::full(self.n());
                 for a in sets {
                     for b in sets {
                         let ab = a.union(b);
@@ -195,25 +168,6 @@ impl FailProneSystem {
                     }
                 }
                 None
-            }
-            FailProneSystem::SliceThreshold { n, slice, f } => {
-                if slice.len() > 3 * *f {
-                    return None;
-                }
-                // Three f-chunks of the slice cover it when 3f ≥ |slice|.
-                let members = slice.to_vec();
-                let outside = slice.complement(*n);
-                let chunk = |k: usize| -> ProcessSet {
-                    members
-                        .iter()
-                        .copied()
-                        .cycle()
-                        .skip(k * *f)
-                        .take(*f)
-                        .collect::<ProcessSet>()
-                        .union(&outside)
-                };
-                Some([chunk(0), chunk(1), chunk(2)])
             }
         }
     }
@@ -309,7 +263,7 @@ impl QuorumSystem {
         }
         for q in &quorums {
             if q.is_empty() {
-                return Err(QuorumError::EmptyQuorum { process: crate::ProcessId::new(0) });
+                return Err(QuorumError::EmptyQuorum { process: ProcessId::new(0) });
             }
             if q.max_id().is_some_and(|m| m.index() >= n) {
                 return Err(QuorumError::OutOfRange { set: q.clone(), n });
@@ -346,102 +300,60 @@ impl QuorumSystem {
 
     /// Size of the smallest quorum (`c(Q)` in the paper's Lemma 4.4).
     pub fn min_quorum_size(&self) -> usize {
-        match self {
-            QuorumSystem::Threshold { q, .. } => *q,
-            QuorumSystem::Explicit { quorums, .. } => {
-                quorums.iter().map(ProcessSet::len).min().unwrap_or(0)
-            }
-            QuorumSystem::SliceThreshold { q, .. } => *q,
+        match self.view() {
+            View::Slice(s) => s.t,
+            View::Explicit(quorums) => quorums.iter().map(ProcessSet::len).min().unwrap_or(0),
         }
     }
 
     /// Returns `true` if `observed` contains some quorum.
     ///
     /// This is the protocols' round-advancement test `∃Q ∈ Q_i: Q ⊆ observed`.
+    /// Only members of the universe (or of the slice) count.
     pub fn contains_quorum(&self, observed: &ProcessSet) -> bool {
-        match self {
-            QuorumSystem::Threshold { n, q } => {
-                // Only members of the universe count.
-                let within = observed.intersection(&ProcessSet::full(*n));
-                within.len() >= *q
-            }
-            QuorumSystem::Explicit { quorums, .. } => {
-                quorums.iter().any(|qs| qs.is_subset(observed))
-            }
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                observed.intersection(slice).len() >= *q
-            }
+        match self.view() {
+            View::Slice(s) => s.count(observed) >= s.t,
+            View::Explicit(quorums) => quorums.iter().any(|qs| qs.is_subset(observed)),
         }
     }
 
     /// Returns some quorum contained in `observed`, if any.
     pub fn find_quorum(&self, observed: &ProcessSet) -> Option<ProcessSet> {
-        match self {
-            QuorumSystem::Threshold { n, q } => {
-                let within = observed.intersection(&ProcessSet::full(*n));
-                if within.len() >= *q {
-                    Some(within.iter().take(*q).collect())
-                } else {
-                    None
-                }
-            }
-            QuorumSystem::Explicit { quorums, .. } => {
-                quorums.iter().find(|qs| qs.is_subset(observed)).cloned()
-            }
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                let within = observed.intersection(slice);
-                if within.len() >= *q {
-                    Some(within.iter().take(*q).collect())
-                } else {
-                    None
-                }
-            }
+        match self.view() {
+            View::Slice(s) => s.find_quorum(observed),
+            View::Explicit(quorums) => quorums.iter().find(|qs| qs.is_subset(observed)).cloned(),
         }
     }
 
     /// Returns `true` if `observed` intersects *every* quorum, i.e. contains a
     /// kernel (the protocols' amplification test `∃K ∈ K_i: K ⊆ observed`).
     pub fn is_kernel(&self, observed: &ProcessSet) -> bool {
-        match self {
-            QuorumSystem::Threshold { n, q } => {
-                let within = observed.intersection(&ProcessSet::full(*n));
-                within.len() > n - q
-            }
-            QuorumSystem::Explicit { quorums, .. } => {
-                quorums.iter().all(|qs| qs.intersects(observed))
-            }
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                observed.intersection(slice).len() > slice.len() - q
-            }
+        match self.view() {
+            View::Slice(s) => s.count(observed) > s.len() - s.t,
+            View::Explicit(quorums) => quorums.iter().all(|qs| qs.intersects(observed)),
         }
     }
 
     /// Enumerates the minimal quorums.
     ///
-    /// For threshold systems this enumerates `C(n, q)` sets — only call it on
-    /// small systems.
+    /// For threshold and slice-threshold systems this enumerates `C(|A|, q)`
+    /// sets, for inspection and tests. Validation does not need it:
+    /// consistency and availability have closed forms over the slice and
+    /// enumerate only where an `Explicit` system is involved (or, for
+    /// consistency, a quorum slice that differs from its fail-prone slice).
     pub fn minimal_quorums(&self) -> Vec<ProcessSet> {
-        match self {
-            QuorumSystem::Threshold { n, q } => combinations(&ProcessSet::full(*n), *q).collect(),
-            QuorumSystem::Explicit { quorums, .. } => quorums.clone(),
-            QuorumSystem::SliceThreshold { slice, q, .. } => combinations(slice, *q).collect(),
-        }
+        self.view().minimal_quorums().into_owned()
     }
 
     /// Computes the minimal kernels (minimal hitting sets of the quorums).
     ///
     /// Exponential in general; intended for inspection and tests on small
-    /// systems. For threshold systems the closed form (all `(n−q+1)`-subsets)
-    /// is returned without search.
+    /// systems. For threshold and slice systems the closed form (all
+    /// `(|A|−q+1)`-subsets of the slice `A`) is returned without search.
     pub fn minimal_kernels(&self) -> Vec<ProcessSet> {
-        match self {
-            QuorumSystem::Threshold { n, q } => {
-                combinations(&ProcessSet::full(*n), n - q + 1).collect()
-            }
-            QuorumSystem::Explicit { quorums, .. } => minimal_hitting_sets(quorums),
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                combinations(slice, slice.len() - q + 1).collect()
-            }
+        match self.view() {
+            View::Slice(s) => s.minimal_kernels(),
+            View::Explicit(quorums) => minimal_hitting_sets(quorums),
         }
     }
 
@@ -449,81 +361,48 @@ impl QuorumSystem {
     /// quorums intersect in at least one process outside every common
     /// fail-prone set.
     ///
+    /// This is the `i = j` case of [`AsymQuorumSystem::check_consistency`]:
+    /// for a threshold or slice system whose quorum slice `A` equals the
+    /// fail-prone slice `S`, two quorums share at least `2q − |S|` members of
+    /// `S`, and a set inside `S` is fail-prone iff it has at most `f`
+    /// members, so consistency fails iff `max(0, 2q − |S|) ≤ f`. Other
+    /// combinations enumerate minimal quorums and maximal fail-prone sets.
+    ///
+    /// [`AsymQuorumSystem::check_consistency`]: crate::AsymQuorumSystem::check_consistency
+    ///
     /// # Errors
     ///
     /// Returns the violating pair and fail-prone set on failure.
     pub fn check_consistency(&self, fps: &FailProneSystem) -> Result<(), QuorumError> {
-        match (self, fps) {
-            (QuorumSystem::Threshold { n, q }, FailProneSystem::Threshold { f, .. }) => {
-                // |Q1 ∩ Q2| ≥ 2q − n must exceed f.
-                if 2 * q > n + f {
-                    Ok(())
-                } else {
-                    let qi = ProcessSet::from_indices(0..*q);
-                    let qj = ProcessSet::from_indices(n - q..*n);
-                    let fij: ProcessSet = qi.intersection(&qj).iter().take(*f).collect();
-                    Err(QuorumError::ConsistencyViolation {
-                        i: crate::ProcessId::new(0),
-                        j: crate::ProcessId::new(0),
-                        qi,
-                        qj,
-                        fij,
-                    })
-                }
-            }
-            _ => {
-                let quorums = self.minimal_quorums();
-                let fail_sets = fps.maximal_sets();
-                for qi in &quorums {
-                    for qj in &quorums {
-                        let inter = qi.intersection(qj);
-                        for fij in &fail_sets {
-                            if inter.is_subset(fij) {
-                                return Err(QuorumError::ConsistencyViolation {
-                                    i: crate::ProcessId::new(0),
-                                    j: crate::ProcessId::new(0),
-                                    qi: qi.clone(),
-                                    qj: qj.clone(),
-                                    fij: fij.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
+        let (quorums, fail_prone) = (self.view(), fps.view());
+        match slice_view::consistency_violation(&quorums, &fail_prone, &quorums, &fail_prone) {
+            None => Ok(()),
+            Some([qi, qj, fij]) => Err(QuorumError::ConsistencyViolation {
+                i: ProcessId::new(0),
+                j: ProcessId::new(0),
+                qi,
+                qj,
+                fij,
+            }),
         }
     }
 
     /// Checks quorum **availability** against a fail-prone system: for every
     /// fail-prone set there is a disjoint quorum.
     ///
+    /// For a threshold or slice system `(A, q)` against `(S, f)`, a quorum
+    /// avoiding `(P ∖ S) ∪ C` lies in `(A ∩ S) ∖ C`, and the worst `C` takes
+    /// `f` members of `A ∩ S`: availability fails iff `|A ∩ S| < q + f`
+    /// (iff `q + f > |S|` when `A = S`). Explicit systems are enumerated.
+    ///
     /// # Errors
     ///
     /// Returns the fail-prone set no quorum avoids on failure.
     pub fn check_availability(&self, fps: &FailProneSystem) -> Result<(), QuorumError> {
-        match (self, fps) {
-            (QuorumSystem::Threshold { n, q }, FailProneSystem::Threshold { f, .. }) => {
-                if q + f <= *n {
-                    Ok(())
-                } else {
-                    Err(QuorumError::AvailabilityViolation {
-                        process: crate::ProcessId::new(0),
-                        fail_prone: ProcessSet::from_indices(0..*f),
-                    })
-                }
-            }
-            _ => {
-                let quorums = self.minimal_quorums();
-                for fset in fps.maximal_sets() {
-                    if !quorums.iter().any(|q| q.is_disjoint(&fset)) {
-                        return Err(QuorumError::AvailabilityViolation {
-                            process: crate::ProcessId::new(0),
-                            fail_prone: fset,
-                        });
-                    }
-                }
-                Ok(())
+        match slice_view::availability_violation(&self.view(), &fps.view()) {
+            None => Ok(()),
+            Some(fail_prone) => {
+                Err(QuorumError::AvailabilityViolation { process: ProcessId::new(0), fail_prone })
             }
         }
     }
