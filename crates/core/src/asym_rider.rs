@@ -148,7 +148,7 @@ pub struct AsymDagRider {
     /// Block payloads of delivered vertices absent from the DAG (pruned
     /// after delivery, or installed via state transfer) — what this process
     /// serves to deep laggards in place of the garbage-collected vertices.
-    delivered_blocks: HashMap<VertexId, Block>,
+    delivered_blocks: BTreeMap<VertexId, Block>,
 }
 
 impl AsymDagRider {
@@ -172,7 +172,7 @@ impl AsymDagRider {
             last_missing: BTreeSet::new(),
             fetch_progress: false,
             transfer: TransferState::new(),
-            delivered_blocks: HashMap::new(),
+            delivered_blocks: BTreeMap::new(),
         }
     }
 
@@ -235,6 +235,13 @@ impl AsymDagRider {
         self.committer.log()
     }
 
+    /// Waves whose `tReady` milestone (CONFIRMs from one of this process's
+    /// quorums) was reached, in no particular order — the confirmed waves
+    /// a snapshot persists.
+    pub fn confirmed_waves(&self) -> impl Iterator<Item = WaveId> + '_ {
+        self.control.iter().filter(|(_, c)| c.t_ready).map(|(w, _)| *w)
+    }
+
     /// Delivered-state-transfer activity counters (observer inspection —
     /// the scenario harness uses them to prove a deep laggard really
     /// recovered through state transfer rather than plain fetch).
@@ -246,10 +253,7 @@ impl AsymDagRider {
     /// vertex this process no longer (or never) holds, `(id, block)` sorted
     /// by id.
     pub fn delivered_block_residue(&self) -> Vec<(VertexId, Block)> {
-        let mut v: Vec<(VertexId, Block)> =
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())).collect();
-        v.sort_unstable_by_key(|(id, _)| *id);
-        v
+        self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())).collect()
     }
 
     /// The asymmetric commit rule (Algorithm 6, line 148): all round-4
@@ -372,20 +376,6 @@ impl AsymDagRider {
         }
     }
 
-    /// Compacts the full durable state into the canonical snapshot event
-    /// sequence (the ordering contract lives in
-    /// [`asym_storage::snapshot_events`], shared with replay-side
-    /// compaction so the two paths cannot drift).
-    fn snapshot_events(&self) -> Vec<DagEvent<Block>> {
-        asym_storage::snapshot_events(
-            self.core.dag(),
-            self.control.iter().filter(|(_, c)| c.t_ready).map(|(w, _)| *w),
-            self.committer.log(),
-            self.committer.delivered_waves(),
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
-        )
-    }
-
     /// Installs a snapshot when the WAL's cadence asks for one. With
     /// [`RiderConfig::prune_wal`] set, the delivered prefix below the
     /// decided wave's leader round is garbage-collected first — from the
@@ -395,6 +385,12 @@ impl AsymDagRider {
     /// what makes re-delivery impossible) and still grow with history —
     /// compacting them safely is an open ROADMAP item, because a
     /// per-source watermark is unsound for Byzantine sources.
+    ///
+    /// The snapshot is written by [`asym_storage::EventLog::install_snapshot`]
+    /// straight from the live state (the DAG, the `tReady` waves, the
+    /// committer's log and delivered set, the block residue): nothing is
+    /// cloned, and the checksum of each vertex and residue record is
+    /// computed once in the record's life, not once per snapshot.
     fn maybe_snapshot(&mut self) {
         if !self.core.log().is_some_and(DagLog::should_snapshot) {
             return;
@@ -409,18 +405,22 @@ impl AsymDagRider {
                 // prefix stays servable to deep laggards as certified
                 // outputs.
                 let floor = round_of_wave(decided, 1);
-                let delivered: BTreeSet<VertexId> = self.committer.delivered().collect();
-                for v in self.core.prune_delivered(&delivered, floor) {
+                let committer = &self.committer;
+                for v in self.core.prune_delivered(|id| committer.is_delivered(id), floor) {
                     self.delivered_blocks.insert(v.id(), v.into_block());
                 }
             }
         }
-        let events = self.snapshot_events();
-        self.core
-            .log_mut()
-            .expect("checked above")
-            .install_snapshot(&events)
-            .expect("WAL snapshot failed");
+        let mut log = self.core.take_log().expect("checked above");
+        log.install_snapshot(
+            self.core.dag(),
+            self.confirmed_waves(),
+            self.committer.log(),
+            self.committer.delivered_waves(),
+            self.delivered_blocks.iter().map(|(id, b)| (*id, b)),
+        )
+        .expect("WAL snapshot failed");
+        self.core.set_log(log);
     }
 
     /// Discards all in-memory state and rebuilds this process from its
@@ -468,8 +468,7 @@ impl AsymDagRider {
         self.last_missing = BTreeSet::new();
         self.fetch_progress = false;
         self.transfer = TransferState::new();
-        self.delivered_blocks =
-            recovered.delivered_blocks.iter().map(|(k, v)| (*k, v.clone())).collect();
+        self.delivered_blocks = recovered.delivered_blocks.clone();
         self.recovering = true;
         for w in &recovered.confirmed_waves {
             let ctrl = self.control.entry(*w).or_default();

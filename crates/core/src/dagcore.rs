@@ -8,7 +8,7 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use asym_broadcast::{BcastMsg, BroadcastHub};
 use asym_dag::{DagStore, Round, Vertex, VertexId};
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
-use asym_storage::{DagEvent, EventLog, RecoveredState, StorageBackend};
+use asym_storage::{EventLog, RecoveredState, StorageBackend};
 
 use crate::types::{Block, RiderConfig, RiderMetrics};
 
@@ -212,8 +212,7 @@ impl DagCore {
                         if let Some(log) = log {
                             // A process that cannot persist must stop
                             // (fail-stop) rather than diverge from its log.
-                            log.append(&DagEvent::VertexInserted(v.clone()))
-                                .expect("WAL append failed");
+                            log.append_vertex(v).expect("WAL append failed");
                         }
                     };
                     match self.dag.insert_with(v, hook) {
@@ -328,8 +327,9 @@ impl DagCore {
     }
 
     /// Garbage-collects the delivered prefix from the live DAG: every
-    /// vertex in `delivered` with round `<= up_to_round` is removed and the
-    /// pruning floor ratchets up (see [`asym_storage::prune_dag`]). Called
+    /// vertex `is_delivered` accepts with round `<= up_to_round` is
+    /// removed and the pruning floor ratchets up (see
+    /// [`asym_storage::prune_dag`]). Called
     /// by the rider at snapshot time so the live DAG, the snapshot and a
     /// future replay all agree on what was forgotten. Returns the pruned
     /// vertices so the rider can harvest their blocks into its transferable
@@ -338,10 +338,10 @@ impl DagCore {
     #[must_use]
     pub fn prune_delivered(
         &mut self,
-        delivered: &BTreeSet<VertexId>,
+        is_delivered: impl Fn(VertexId) -> bool,
         up_to_round: Round,
     ) -> Vec<Vertex<Block>> {
-        asym_storage::prune_dag(&mut self.dag, delivered, up_to_round)
+        asym_storage::prune_dag(&mut self.dag, is_delivered, up_to_round)
     }
 
     /// Records `id` as delivered-and-garbage-collected without requiring

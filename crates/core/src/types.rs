@@ -32,17 +32,29 @@ impl Block {
     /// Canonical byte encoding (little-endian transaction ids), for
     /// content digests.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 * self.txs.len());
-        for tx in &self.txs {
-            out.extend_from_slice(&tx.to_le_bytes());
-        }
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends [`Block::encode`]'s bytes to `out`: grown once, then filled
+    /// in fixed 8-byte chunks (no capacity check per transaction).
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + 8 * self.txs.len(), 0);
+        for (chunk, tx) in out[start..].chunks_exact_mut(8).zip(&self.txs) {
+            chunk.copy_from_slice(&tx.to_le_bytes());
+        }
     }
 }
 
 impl asym_storage::BlockCodec for Block {
     fn encode_block(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.encode());
+        self.encode_into(out);
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 * self.txs.len()
     }
 
     fn decode_block(bytes: &[u8]) -> Option<Self> {

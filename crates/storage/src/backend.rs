@@ -87,6 +87,24 @@ pub trait Storage {
     /// [`StorageError::Io`] if the medium rejects the write.
     fn write_snapshot(&mut self, bytes: &[u8]) -> Result<(), StorageError>;
 
+    /// Atomically replaces the snapshot area with the bytes `fill`
+    /// appends to an empty buffer. The default builds a fresh buffer and
+    /// hands it to [`Storage::write_snapshot`]; a backend that owns its
+    /// snapshot bytes may instead refill its own buffer in place, so a
+    /// snapshot costs no allocation and no copy.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the medium rejects the write.
+    fn write_snapshot_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StorageError>
+    where
+        Self: Sized,
+    {
+        let mut bytes = Vec::new();
+        fill(&mut bytes);
+        self.write_snapshot(&bytes)
+    }
+
     /// Reads the snapshot area (`None` if no snapshot was ever written).
     ///
     /// # Errors
@@ -169,6 +187,16 @@ impl Storage for MemStorage {
 
     fn write_snapshot(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
         self.snapshot = Some(bytes.to_vec());
+        Ok(())
+    }
+
+    /// Refills the held snapshot buffer in place: its pages are already
+    /// mapped, so only growth beyond the last snapshot allocates. (An
+    /// in-memory write cannot be torn, so in-place is still atomic.)
+    fn write_snapshot_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StorageError> {
+        let buffer = self.snapshot.get_or_insert_with(Vec::new);
+        buffer.clear();
+        fill(buffer);
         Ok(())
     }
 
@@ -328,6 +356,14 @@ impl Storage for StorageBackend {
             StorageBackend::Mem(s) => s.write_snapshot(bytes),
             StorageBackend::File(s) => s.write_snapshot(bytes),
             StorageBackend::Faulty(s) => s.write_snapshot(bytes),
+        }
+    }
+
+    fn write_snapshot_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StorageError> {
+        match self {
+            StorageBackend::Mem(s) => s.write_snapshot_with(fill),
+            StorageBackend::File(s) => s.write_snapshot_with(fill),
+            StorageBackend::Faulty(s) => s.write_snapshot_with(fill),
         }
     }
 

@@ -25,11 +25,24 @@ pub trait BlockCodec: Sized {
 
     /// Decodes a block from exactly `bytes` (`None` on malformed input).
     fn decode_block(bytes: &[u8]) -> Option<Self>;
+
+    /// Length of [`BlockCodec::encode_block`]'s output. The snapshot
+    /// writer sizes its blob with it; the default encodes into a scratch
+    /// buffer, so implementations should override it with arithmetic.
+    fn encoded_len(&self) -> usize {
+        let mut scratch = Vec::new();
+        self.encode_block(&mut scratch);
+        scratch.len()
+    }
 }
 
 impl BlockCodec for Vec<u8> {
     fn encode_block(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.len()
     }
 
     fn decode_block(bytes: &[u8]) -> Option<Self> {
@@ -111,6 +124,54 @@ fn put_set(out: &mut Vec<u8>, set: &ProcessSet) {
     }
 }
 
+/// Appends `block` behind a `u64` length field that is back-patched once
+/// the block is encoded, so no temporary buffer learns its length first.
+fn put_block<B: BlockCodec>(out: &mut Vec<u8>, block: &B) {
+    let at = out.len();
+    put_u64(out, 0);
+    block.encode_block(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Encodes a [`DagEvent::VertexInserted`] payload for a borrowed vertex.
+pub(crate) fn encode_vertex<B: BlockCodec>(v: &Vertex<B>, out: &mut Vec<u8>) {
+    out.push(TAG_VERTEX);
+    put_u64(out, v.source().index() as u64);
+    put_u64(out, v.round());
+    put_set(out, v.strong_edges());
+    put_u64(out, v.weak_edges().len() as u64);
+    for w in v.weak_edges() {
+        put_vid(out, *w);
+    }
+    put_block(out, v.block());
+}
+
+/// Encodes a [`DagEvent::DeliveredBlock`] payload for a borrowed block.
+pub(crate) fn encode_delivered_block<B: BlockCodec>(id: VertexId, block: &B, out: &mut Vec<u8>) {
+    out.push(TAG_DELIVERED_BLOCK);
+    put_vid(out, id);
+    put_block(out, block);
+}
+
+/// Payload length of [`encode_vertex`]'s output: tag, source, round, the
+/// two edge counts and the block length field, then the edges and block.
+pub(crate) fn vertex_payload_len<B: BlockCodec>(v: &Vertex<B>) -> usize {
+    let edges = 8 * v.strong_edges().len() + 16 * v.weak_edges().len();
+    1 + 5 * 8 + edges + v.block().encoded_len()
+}
+
+/// Payload length of [`encode_delivered_block`]'s output.
+pub(crate) fn delivered_block_payload_len<B: BlockCodec>(block: &B) -> usize {
+    1 + 16 + 8 + block.encoded_len()
+}
+
+/// Payload lengths of the fixed-size events.
+pub(crate) const CONFIRMED_PAYLOAD_LEN: usize = 1 + 8;
+pub(crate) const DECIDED_PAYLOAD_LEN: usize = 1 + 8 + 16;
+pub(crate) const DELIVERED_PAYLOAD_LEN: usize = 1 + 16 + 8;
+pub(crate) const PRUNED_PAYLOAD_LEN: usize = 1 + 8;
+
 /// A bounded little-endian reader over a payload slice.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -157,49 +218,34 @@ impl<B: BlockCodec> DagEvent<B> {
     /// Encodes this event as one WAL payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this event's WAL payload to `out` (no intermediate buffer).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            DagEvent::VertexInserted(v) => {
-                out.push(TAG_VERTEX);
-                put_u64(&mut out, v.source().index() as u64);
-                put_u64(&mut out, v.round());
-                put_set(&mut out, v.strong_edges());
-                put_u64(&mut out, v.weak_edges().len() as u64);
-                for w in v.weak_edges() {
-                    put_vid(&mut out, *w);
-                }
-                let mut block = Vec::new();
-                v.block().encode_block(&mut block);
-                put_u64(&mut out, block.len() as u64);
-                out.extend_from_slice(&block);
-            }
+            DagEvent::VertexInserted(v) => encode_vertex(v, out),
             DagEvent::WaveConfirmed { wave } => {
                 out.push(TAG_CONFIRMED);
-                put_u64(&mut out, *wave);
+                put_u64(out, *wave);
             }
             DagEvent::WaveDecided { wave, leader } => {
                 out.push(TAG_DECIDED);
-                put_u64(&mut out, *wave);
-                put_vid(&mut out, *leader);
+                put_u64(out, *wave);
+                put_vid(out, *leader);
             }
             DagEvent::BlockDelivered { id, wave } => {
                 out.push(TAG_DELIVERED);
-                put_vid(&mut out, *id);
-                put_u64(&mut out, *wave);
+                put_vid(out, *id);
+                put_u64(out, *wave);
             }
             DagEvent::Pruned { up_to_round } => {
                 out.push(TAG_PRUNED);
-                put_u64(&mut out, *up_to_round);
+                put_u64(out, *up_to_round);
             }
-            DagEvent::DeliveredBlock { id, block } => {
-                out.push(TAG_DELIVERED_BLOCK);
-                put_vid(&mut out, *id);
-                let mut bytes = Vec::new();
-                block.encode_block(&mut bytes);
-                put_u64(&mut out, bytes.len() as u64);
-                out.extend_from_slice(&bytes);
-            }
+            DagEvent::DeliveredBlock { id, block } => encode_delivered_block(*id, block, out),
         }
-        out
     }
 
     /// Decodes one event from exactly `payload` — `None` on any structural

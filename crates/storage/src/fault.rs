@@ -158,6 +158,15 @@ impl<S: Storage> FaultyStorage<S> {
         frames
     }
 
+    /// Captures the revert shadow *before* a snapshot rename happens.
+    fn capture_shadow(&mut self) -> Result<(), StorageError> {
+        self.shadow = Some(SnapshotShadow {
+            prev_snapshot: self.inner.read_snapshot()?,
+            log_at_install: self.inner.read_log()?,
+        });
+        Ok(())
+    }
+
     fn apply_powerloss(&mut self) -> Result<(), StorageError> {
         let mut rng = Rng(self.plan.seed);
         // 1. The most recent snapshot rename may be lost or reordered.
@@ -223,12 +232,13 @@ impl<S: Storage> Storage for FaultyStorage<S> {
     }
 
     fn write_snapshot(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        // Capture the revert shadow *before* the rename happens.
-        self.shadow = Some(SnapshotShadow {
-            prev_snapshot: self.inner.read_snapshot()?,
-            log_at_install: self.inner.read_log()?,
-        });
+        self.capture_shadow()?;
         self.inner.write_snapshot(bytes)
+    }
+
+    fn write_snapshot_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StorageError> {
+        self.capture_shadow()?;
+        self.inner.write_snapshot_with(fill)
     }
 
     fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StorageError> {
@@ -248,11 +258,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
 mod tests {
     use super::*;
     use crate::backend::MemStorage;
-    use crate::wal::{frame_record, Wal};
+    use crate::wal::{checksum, frame_in_place, Wal};
 
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        frame_record(payload, &mut out);
+        frame_in_place(&mut out, |o| o.extend_from_slice(payload), checksum);
         out
     }
 

@@ -74,13 +74,14 @@ mod backend;
 mod event;
 mod fault;
 mod replay;
+mod snapshot;
 mod wal;
 
 pub use backend::{FileStorage, MemStorage, Storage, StorageBackend, StorageError};
 pub use event::{payload_is_volatile, BlockCodec, DagEvent};
 pub use fault::{FaultyStorage, PowerlossPlan, VolatilePolicy};
-pub use replay::{prune_dag, snapshot_events, EventLog, ReadEvents, RecoveredState};
+pub use replay::{prune_dag, EventLog, ReadEvents, RecoveredState};
 pub use wal::{
-    checksum, decode_area, frame_record, DecodedArea, Wal, WalContents, WalStats,
-    DEFAULT_SNAPSHOT_EVERY, RECORD_HEADER_BYTES,
+    checksum, decode_area, DecodedArea, Wal, WalContents, WalStats, DEFAULT_SNAPSHOT_EVERY,
+    RECORD_HEADER_BYTES,
 };

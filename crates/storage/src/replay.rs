@@ -3,13 +3,13 @@
 //!
 //! [`EventLog`] is the handle a running process holds: it appends
 //! [`DagEvent`]s, suggests when to compact, and installs snapshots (which
-//! are themselves just compacted event sequences — one codec, one replay
-//! path). [`RecoveredState::replay`] is what a restarted process calls: it
-//! reads snapshot + log, drops a torn tail, rejects corruption, and folds
-//! the surviving events into the DAG, the delivered set, the commit log and
-//! the confirmed-wave set. Replay is idempotent (duplicate events are
-//! skipped), so a crash between "write snapshot" and "truncate log" still
-//! recovers.
+//! are themselves just compacted event sequences, framed like the log —
+//! one codec, one replay path). [`RecoveredState::replay`] is what a
+//! restarted process calls: it reads snapshot + log, drops a torn tail,
+//! rejects corruption, and folds the surviving events into the DAG, the
+//! delivered set, the commit log and the confirmed-wave set. Replay is
+//! idempotent (duplicate events are skipped), so a crash between "write
+//! snapshot" and "truncate log" still recovers.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -18,7 +18,8 @@ use asym_dag::{DagError, DagStore, Round, Vertex, VertexId, WaveId};
 use asym_quorum::ProcessId;
 
 use crate::backend::{Storage, StorageError};
-use crate::event::{BlockCodec, DagEvent};
+use crate::event::{encode_vertex, BlockCodec, DagEvent};
+use crate::snapshot::{write_snapshot, ChecksumMemo, MemoKey};
 use crate::wal::{Wal, WalStats};
 
 /// A write-ahead log of [`DagEvent`]s over any [`Storage`] backend.
@@ -38,13 +39,15 @@ use crate::wal::{Wal, WalStats};
 #[derive(Clone, Debug)]
 pub struct EventLog<B, S> {
     wal: Wal<S>,
+    /// Checksums of the block-carrying records, computed once per record.
+    memo: ChecksumMemo,
     _block: PhantomData<fn() -> B>,
 }
 
 impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
     /// Wraps a backend (default snapshot cadence).
     pub fn new(backend: S) -> Self {
-        EventLog { wal: Wal::new(backend), _block: PhantomData }
+        EventLog { wal: Wal::new(backend), memo: ChecksumMemo::default(), _block: PhantomData }
     }
 
     /// Overrides the snapshot cadence (`0` disables suggestions).
@@ -60,7 +63,25 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
     ///
     /// [`StorageError::Io`] if the backend rejects the write.
     pub fn append(&mut self, event: &DagEvent<B>) -> Result<(), StorageError> {
-        self.wal.append(&event.encode())
+        let sum = self.wal.append_with(|out| event.encode_into(out))?;
+        match event {
+            DagEvent::VertexInserted(v) => self.memo.note(MemoKey::Vertex(v.id()), sum),
+            DagEvent::DeliveredBlock { id, .. } => self.memo.note(MemoKey::Residue(*id), sum),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Appends [`DagEvent::VertexInserted`] for a borrowed vertex (the
+    /// DAG keeps the vertex; nothing is cloned).
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the backend rejects the write.
+    pub fn append_vertex(&mut self, v: &Vertex<B>) -> Result<(), StorageError> {
+        let sum = self.wal.append_with(|out| encode_vertex(v, out))?;
+        self.memo.note(MemoKey::Vertex(v.id()), sum);
+        Ok(())
     }
 
     /// `true` once enough events accumulated that the owner should compact
@@ -69,15 +90,38 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
         self.wal.should_snapshot()
     }
 
-    /// Installs a snapshot: `events` must be a compacted encoding of the
-    /// owner's *entire* current state, because the log is truncated.
+    /// Installs a snapshot of the owner's *entire* current state, because
+    /// the log is truncated. The snapshot writer frames every record
+    /// straight from the borrowed state into one blob (the layout is
+    /// documented on [`RecoveredState::compact_into`]).
+    ///
+    /// * `dag` — every stored vertex, plus the pruning floor;
+    /// * `confirmed_waves` — waves whose `tReady` milestone was reached,
+    ///   any order;
+    /// * `commit_log` — `(wave, leader)` in commit order;
+    /// * `delivered` — every delivered id with the wave that ordered it,
+    ///   any order;
+    /// * `residue` — blocks of delivered vertices, any order; entries
+    ///   whose vertex `dag` still stores are skipped.
     ///
     /// # Errors
     ///
     /// [`StorageError::Io`] if the backend rejects the writes.
-    pub fn install_snapshot(&mut self, events: &[DagEvent<B>]) -> Result<(), StorageError> {
-        let encoded: Vec<Vec<u8>> = events.iter().map(DagEvent::encode).collect();
-        self.wal.install_snapshot(&encoded)
+    pub fn install_snapshot<'a>(
+        &mut self,
+        dag: &DagStore<B>,
+        confirmed_waves: impl IntoIterator<Item = WaveId>,
+        commit_log: &[(WaveId, VertexId)],
+        delivered: impl IntoIterator<Item = (VertexId, WaveId)>,
+        residue: impl IntoIterator<Item = (VertexId, &'a B)>,
+    ) -> Result<(), StorageError>
+    where
+        B: 'a,
+    {
+        let memo = &mut self.memo;
+        self.wal.install_snapshot_with(|blob| {
+            write_snapshot(memo, blob, dag, confirmed_waves, commit_log, delivered, residue);
+        })
     }
 
     /// Decodes every persisted event, snapshot first, in append order.
@@ -127,8 +171,10 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
         self.wal.snapshot_sizes()
     }
 
-    /// Applies the backend's modelled powerloss damage — a no-op for the
-    /// durable backends, the injection point for
+    /// Models the crash of the owning process: drops the in-memory
+    /// checksum memo (nothing in memory survives a crash), then applies
+    /// the backend's modelled powerloss damage — a no-op for the durable
+    /// backends, the injection point for
     /// [`FaultyStorage`](crate::FaultyStorage). A recovering owner calls
     /// this once before replaying.
     ///
@@ -136,7 +182,15 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
     ///
     /// [`StorageError::Io`] if applying the modelled damage itself fails.
     pub fn powerloss(&mut self) -> Result<(), StorageError> {
+        self.memo.clear();
         self.wal.backend_mut().powerloss()
+    }
+
+    /// Number of record checksums held in memory: at most one per
+    /// block-carrying record of the latest snapshot plus one per such
+    /// record appended since.
+    pub fn memoized_checksums(&self) -> usize {
+        self.memo.len()
     }
 
     /// Truncates a torn final record off the log (see
@@ -294,9 +348,9 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
                     state.confirmed_waves.insert(*wave);
                 }
                 DagEvent::WaveDecided { wave, leader } => {
-                    if *wave > state.decided_wave
-                        && !state.commit_log.iter().any(|(w, _)| w == wave)
-                    {
+                    // Every logged wave is <= `decided_wave`, so this alone
+                    // skips the duplicates of a snapshot/log overlap.
+                    if *wave > state.decided_wave {
                         state.commit_log.push((*wave, *leader));
                     }
                     state.decided_wave = state.decided_wave.max(*wave);
@@ -330,24 +384,31 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
         Ok(state)
     }
 
-    /// Compacts this state back into the minimal event sequence that
-    /// replays to it — what [`EventLog::install_snapshot`] persists.
+    /// Compacts this state into `log` as a snapshot — the minimal event
+    /// sequence that replays to it, written by the same snapshot writer a
+    /// live process uses, so the two paths cannot drift.
     ///
-    /// Vertices are emitted in `(round, source)` order (parents always
-    /// precede children), then confirmed waves, then the commit log in
-    /// order, then the delivered set. A state recovered from a pruned
-    /// snapshot keeps its [`DagEvent::Pruned`] marker (the DAG carries the
-    /// floor), so re-compacting never silently promises vertices the DAG no
-    /// longer holds.
-    pub fn to_snapshot_events(&self) -> Vec<DagEvent<B>> {
-        snapshot_events(
+    /// Layout: a pruned state leads with its [`DagEvent::Pruned`] marker
+    /// (the DAG carries the floor, so re-compacting never silently
+    /// promises vertices the DAG no longer holds); then vertices in
+    /// `(round, source)` order (parents always precede children), then
+    /// confirmed waves (sorted), then the commit log in order, then the
+    /// delivered set (sorted by id, wave-tagged), then the block residue
+    /// ([`DagEvent::DeliveredBlock`], sorted by id) of delivered vertices
+    /// absent from the DAG.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the backend rejects the writes.
+    pub fn compact_into<S: Storage>(&self, log: &mut EventLog<B, S>) -> Result<(), StorageError> {
+        log.install_snapshot(
             &self.dag,
             self.confirmed_waves.iter().copied(),
             &self.commit_log,
             self.delivered
                 .iter()
                 .map(|id| (*id, self.delivered_waves.get(id).copied().unwrap_or(0))),
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
+            self.delivered_blocks.iter().map(|(id, b)| (*id, b)),
         )
     }
 
@@ -365,97 +426,44 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
     /// delivered intermediate would have delivered its whole ancestry —
     /// so pruning the delivered set can never hide one).
     pub fn prune_delivered(&mut self, up_to_round: Round) {
-        for v in prune_dag(&mut self.dag, &self.delivered, up_to_round) {
+        let delivered = &self.delivered;
+        for v in prune_dag(&mut self.dag, |id| delivered.contains(&id), up_to_round) {
             self.delivered_blocks.insert(v.id(), v.into_block());
         }
         self.pruned_round = self.dag.pruned_floor();
     }
 }
 
-/// Drops every *delivered* vertex in rounds `<= up_to_round` from `dag`,
-/// recording each pruned identity — the in-place half of WAL pruning,
-/// shared by [`RecoveredState::prune_delivered`] and live snapshot
-/// compaction. Undelivered old vertices are untouched. Returns the pruned
-/// vertices so the caller can harvest their blocks into a transferable
-/// delivered-state store (dropping them entirely would make the delivered
-/// prefix unservable to deep laggards).
+/// Drops every *delivered* vertex (per `is_delivered`) in rounds
+/// `<= up_to_round` from `dag`, recording each pruned identity — the
+/// in-place half of WAL pruning, shared by
+/// [`RecoveredState::prune_delivered`] and live snapshot compaction.
+/// Undelivered old vertices are untouched. Returns the pruned vertices so
+/// the caller can harvest their blocks into a transferable delivered-state
+/// store (dropping them entirely would make the delivered prefix
+/// unservable to deep laggards).
 pub fn prune_dag<B>(
     dag: &mut DagStore<B>,
-    delivered: &BTreeSet<VertexId>,
+    is_delivered: impl Fn(VertexId) -> bool,
     up_to_round: Round,
 ) -> Vec<Vertex<B>> {
     if up_to_round == 0 {
         return Vec::new();
     }
-    let prunable: Vec<VertexId> = (1..=up_to_round.min(dag.max_round().unwrap_or(0)))
-        .flat_map(|r| dag.vertices_in_round(r).map(|v| v.id()).collect::<Vec<_>>())
-        .filter(|id| delivered.contains(id))
-        .collect();
-    let mut pruned = Vec::with_capacity(prunable.len());
-    for id in prunable {
-        pruned.extend(dag.prune(id));
+    let mut prunable = Vec::new();
+    for r in 1..=up_to_round.min(dag.max_round().unwrap_or(0)) {
+        prunable.extend(dag.vertices_in_round(r).map(Vertex::id).filter(|id| is_delivered(*id)));
     }
+    let pruned = prunable.into_iter().filter_map(|id| dag.prune(id)).collect();
     dag.set_pruned_floor(up_to_round);
     pruned
-}
-
-/// Compacts consensus state into the canonical snapshot event sequence —
-/// the single definition of the snapshot ordering contract, shared by
-/// [`RecoveredState::to_snapshot_events`] and by live processes that
-/// compact without materializing a `RecoveredState`. A pruned DAG
-/// (non-zero [`DagStore::pruned_floor`]) leads with its
-/// [`DagEvent::Pruned`] marker; then vertices in `(round, source)` order
-/// (parents always precede children), then the confirmed waves and the
-/// commit log in order, then the delivered set (sorted, each entry tagged
-/// with the wave whose commit ordered it — the grouping delivered-state
-/// transfer serves), then the transferable block residue
-/// ([`DagEvent::DeliveredBlock`], sorted) of delivered vertices absent
-/// from the DAG.
-pub fn snapshot_events<B: Clone>(
-    dag: &DagStore<B>,
-    confirmed_waves: impl IntoIterator<Item = WaveId>,
-    commit_log: &[(WaveId, VertexId)],
-    delivered: impl IntoIterator<Item = (VertexId, WaveId)>,
-    delivered_blocks: impl IntoIterator<Item = (VertexId, B)>,
-) -> Vec<DagEvent<B>> {
-    let mut events = Vec::new();
-    if dag.pruned_floor() > 0 {
-        events.push(DagEvent::Pruned { up_to_round: dag.pruned_floor() });
-    }
-    for r in 1..=dag.max_round().unwrap_or(0) {
-        for v in dag.vertices_in_round(r) {
-            events.push(DagEvent::VertexInserted(v.clone()));
-        }
-    }
-    let mut confirmed: Vec<WaveId> = confirmed_waves.into_iter().collect();
-    confirmed.sort_unstable();
-    for wave in confirmed {
-        events.push(DagEvent::WaveConfirmed { wave });
-    }
-    for (wave, leader) in commit_log {
-        events.push(DagEvent::WaveDecided { wave: *wave, leader: *leader });
-    }
-    let mut delivered: Vec<(VertexId, WaveId)> = delivered.into_iter().collect();
-    delivered.sort_unstable_by_key(|(id, _)| *id);
-    for (id, wave) in delivered {
-        events.push(DagEvent::BlockDelivered { id, wave });
-    }
-    // The residue only covers vertices the DAG no longer (or never) held —
-    // blocks of stored vertices ride along inside VertexInserted.
-    let mut residue: Vec<(VertexId, B)> =
-        delivered_blocks.into_iter().filter(|(id, _)| !dag.contains(*id)).collect();
-    residue.sort_unstable_by_key(|(id, _)| *id);
-    for (id, block) in residue {
-        events.push(DagEvent::DeliveredBlock { id, block });
-    }
-    events
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MemStorage;
-    use asym_dag::Vertex;
+    use crate::snapshot::MemoKey;
     use asym_quorum::ProcessSet;
 
     fn pid(i: usize) -> ProcessId {
@@ -505,7 +513,7 @@ mod tests {
         let state = log.replay(4, pid(0), Vec::new()).unwrap();
 
         let mut compacted = Log::new(MemStorage::new());
-        compacted.install_snapshot(&state.to_snapshot_events()).unwrap();
+        state.compact_into(&mut compacted).unwrap();
         // New activity lands in the log tail after the snapshot.
         compacted
             .append(&DagEvent::VertexInserted(Vertex::new(
@@ -534,7 +542,7 @@ mod tests {
         let mut overlapped = log.clone();
         // Install the snapshot but resurrect the old log bytes afterwards.
         let old_log = log.backend().log_bytes().to_vec();
-        overlapped.install_snapshot(&state.to_snapshot_events()).unwrap();
+        state.compact_into(&mut overlapped).unwrap();
         overlapped.backend_mut().append_log_raw(&old_log);
         let re = overlapped.replay(4, pid(0), Vec::new()).unwrap();
         assert_eq!(re.dag.len(), state.dag.len());
@@ -554,16 +562,21 @@ mod tests {
                 state.delivered.insert(VertexId::new(r, pid(i)));
             }
         }
-        let unpruned_len: usize = state.to_snapshot_events().iter().map(|e| e.encode().len()).sum();
+        let snapshot_len = |state: &RecoveredState<Vec<u8>>| {
+            let mut log = Log::new(MemStorage::new());
+            state.compact_into(&mut log).unwrap();
+            log.stats().last_snapshot_bytes
+        };
+        let unpruned_len = snapshot_len(&state);
         state.prune_delivered(4);
         assert_eq!(state.pruned_round, 4);
         assert_eq!(state.dag.pruned_floor(), 4);
         assert_eq!(state.dag.len(), 4 + 16, "genesis + rounds 5..=8 retained");
-        let pruned_len: usize = state.to_snapshot_events().iter().map(|e| e.encode().len()).sum();
+        let pruned_len = snapshot_len(&state);
         assert!(pruned_len < unpruned_len, "{pruned_len} !< {unpruned_len}");
 
         let mut compacted = Log::new(MemStorage::new());
-        compacted.install_snapshot(&state.to_snapshot_events()).unwrap();
+        state.compact_into(&mut compacted).unwrap();
         // New activity above the prune horizon still lands in the log tail.
         compacted
             .append(&DagEvent::VertexInserted(Vertex::new(
@@ -603,7 +616,7 @@ mod tests {
         }
         // Re-compaction round-trips the partial prune.
         let mut compacted = Log::new(MemStorage::new());
-        compacted.install_snapshot(&state.to_snapshot_events()).unwrap();
+        state.compact_into(&mut compacted).unwrap();
         let re = compacted.replay(4, pid(0), Vec::new()).unwrap();
         assert_eq!(re.dag.len(), state.dag.len());
         assert_eq!(re.pruned_round, 4);
@@ -625,10 +638,128 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_snapshot_and_log_replay_dedups_decisions() {
+        // Decisions for waves 1..=3 in the snapshot, then the old log —
+        // which re-decides all of them — resurrected behind it, plus one
+        // fresh decision: every wave must be in the commit log once, in
+        // order.
+        let mut log = Log::new(MemStorage::new()).with_snapshot_every(0);
+        for wave in 1..=3 {
+            let leader = VertexId::new(4 * wave - 3, pid(wave as usize % 4));
+            log.append(&DagEvent::WaveDecided { wave, leader }).unwrap();
+        }
+        let state = log.replay(4, pid(0), Vec::new()).unwrap();
+        let old_log = log.backend().log_bytes().to_vec();
+        state.compact_into(&mut log).unwrap();
+        log.backend_mut().append_log_raw(&old_log);
+        let fresh = (4, VertexId::new(13, pid(1)));
+        log.append(&DagEvent::WaveDecided { wave: fresh.0, leader: fresh.1 }).unwrap();
+        let re = log.replay(4, pid(0), Vec::new()).unwrap();
+        assert_eq!(re.events_from_snapshot, 3);
+        assert_eq!(re.events_total, 3 + 3 + 1, "the overlap really is replayed twice");
+        let mut expected = state.commit_log.clone();
+        expected.push(fresh);
+        assert_eq!(re.commit_log, expected);
+        assert_eq!(re.decided_wave, 4);
+    }
+
+    /// Memo keys of the records a snapshot blob holds.
+    fn snapshot_keys(log: &Log) -> BTreeSet<MemoKey> {
+        log.wal
+            .read()
+            .unwrap()
+            .snapshot
+            .iter()
+            .filter_map(|r| match DagEvent::<Vec<u8>>::decode(r).unwrap() {
+                DagEvent::VertexInserted(v) => Some(MemoKey::Vertex(v.id())),
+                DagEvent::DeliveredBlock { id, .. } => Some(MemoKey::Residue(id)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A long pruned run driven the way a live process drives its log:
+    /// every vertex appended as it enters the DAG, the delivered prefix
+    /// pruned and the state compacted every four rounds.
+    fn long_pruned_run(rounds: u64) -> (Log, RecoveredState<Vec<u8>>) {
+        let mut log = Log::new(MemStorage::new()).with_snapshot_every(0);
+        let mut state = log.replay(4, pid(0), Vec::new()).unwrap();
+        for r in 1..=rounds {
+            for i in 0..4 {
+                let block =
+                    if (r + i as u64).is_multiple_of(3) { vec![] } else { vec![r as u8, i as u8] };
+                let v = Vertex::new(pid(i), r, block, ProcessSet::full(4), vec![]);
+                log.append_vertex(&v).unwrap();
+                state.dag.insert(v).unwrap();
+            }
+            if r % 4 == 0 && r > 4 {
+                let wave = r / 4;
+                for old in r - 7..=r - 4 {
+                    for i in 0..4 {
+                        let id = VertexId::new(old, pid(i));
+                        log.append(&DagEvent::BlockDelivered { id, wave }).unwrap();
+                        state.delivered.insert(id);
+                        state.delivered_waves.insert(id, wave);
+                    }
+                }
+                state.prune_delivered(r - 4);
+                state.compact_into(&mut log).unwrap();
+            }
+        }
+        (log, state)
+    }
+
+    #[test]
+    fn checksum_memo_holds_only_the_latest_snapshot_and_empties_at_a_crash() {
+        let (mut log, state) = long_pruned_run(64);
+        assert!(state.pruned_round >= 56 && state.delivered_blocks.len() >= 200);
+        let in_snapshot = snapshot_keys(&log);
+        let memo: BTreeSet<MemoKey> = log.memo.keys().collect();
+        assert_eq!(memo, in_snapshot, "after a snapshot the memo mirrors it exactly");
+        assert_eq!(log.memoized_checksums(), in_snapshot.len());
+
+        // Appends after the snapshot add their own entries, nothing else.
+        let v = Vertex::new(pid(2), 65, vec![7], ProcessSet::full(4), vec![]);
+        log.append_vertex(&v).unwrap();
+        let memo: BTreeSet<MemoKey> = log.memo.keys().collect();
+        let mut expected = in_snapshot.clone();
+        expected.insert(MemoKey::Vertex(v.id()));
+        assert_eq!(memo, expected);
+
+        // A crash loses the memo; recompacting recomputes every checksum
+        // and writes the same bytes.
+        let before = log.backend().snapshot_bytes().unwrap().to_vec();
+        log.powerloss().unwrap();
+        assert_eq!(log.memoized_checksums(), 0, "nothing in memory survives a crash");
+        state.compact_into(&mut log).unwrap();
+        assert_eq!(log.backend().snapshot_bytes().unwrap(), &before[..]);
+        assert_eq!(log.memoized_checksums(), in_snapshot.len());
+    }
+
+    #[test]
+    fn a_poisoned_memo_entry_is_caught_by_replay() {
+        let (log, state) = long_pruned_run(32);
+        let keys = snapshot_keys(&log);
+        let vertex = keys.iter().copied().find(|k| matches!(k, MemoKey::Vertex(_))).unwrap();
+        let residue = keys.iter().copied().find(|k| matches!(k, MemoKey::Residue(_))).unwrap();
+        for key in [vertex, residue] {
+            let mut poisoned = log.clone();
+            poisoned.memo.poison(key);
+            state.compact_into(&mut poisoned).unwrap();
+            match poisoned.replay(4, pid(0), Vec::new()) {
+                Err(StorageError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("checksum"), "{key:?}: {detail}");
+                }
+                other => panic!("{key:?}: a wrong checksum must fail replay, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn valid_frame_invalid_event_is_corruption() {
         let mut log = Log::new(MemStorage::new());
         let mut framed = Vec::new();
-        crate::wal::frame_record(&[42, 0, 1], &mut framed);
+        crate::wal::frame_in_place(&mut framed, |out| out.extend([42, 0, 1]), crate::checksum);
         log.backend_mut().append_log_raw(&framed);
         assert!(matches!(log.events(), Err(StorageError::Corrupt { .. })));
     }

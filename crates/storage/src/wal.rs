@@ -44,11 +44,25 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Frames one payload into `out`.
-pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one framed record to `out`, encoding its payload in place: the
+/// header is reserved, `encode` appends the payload behind it, then the
+/// length and the checksum are back-patched. `sum` receives the payload
+/// bytes and returns their checksum (a caller that already knows it may
+/// skip the computation). Returns the checksum written.
+pub(crate) fn frame_in_place(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+    sum: impl FnOnce(&[u8]) -> u64,
+) -> u64 {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_BYTES]);
+    encode(out);
+    let payload = start + RECORD_HEADER_BYTES;
+    let len = (out.len() - payload) as u32;
+    let sum = sum(&out[payload..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..payload].copy_from_slice(&sum.to_le_bytes());
+    sum
 }
 
 /// Result of decoding one framed area.
@@ -188,6 +202,8 @@ pub struct Wal<S> {
     /// (without pruning this sequence grows monotonically; with pruning it
     /// is a sawtooth).
     snapshot_sizes: Vec<u64>,
+    /// Reused framing buffer for appends (holds at most one record).
+    scratch: Vec<u8>,
 }
 
 /// Default snapshot cadence: one snapshot per this many appended records.
@@ -202,6 +218,7 @@ impl<S: Storage> Wal<S> {
             records_since_snapshot: 0,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             snapshot_sizes: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -244,17 +261,31 @@ impl<S: Storage> Wal<S> {
     ///
     /// [`StorageError::Io`] if the backend rejects the write.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StorageError> {
-        let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        frame_record(payload, &mut framed);
-        self.backend.append_log(&framed)?;
+        self.append_with(|out| out.extend_from_slice(payload)).map(|_| ())
+    }
+
+    /// Appends one record whose payload `encode` writes straight into the
+    /// framing buffer — one encode, one backend write. Returns the
+    /// record's checksum.
+    pub(crate) fn append_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, StorageError> {
+        let mut framed = std::mem::take(&mut self.scratch);
+        framed.clear();
+        let sum = frame_in_place(&mut framed, encode, checksum);
+        let written = self.backend.append_log(&framed);
+        let len = framed.len() as u64;
+        self.scratch = framed;
+        written?;
         self.stats.records_appended += 1;
-        self.stats.bytes_appended += framed.len() as u64;
+        self.stats.bytes_appended += len;
         // Saturating: with the cadence disabled (`0` = never snapshot) this
         // counter is never reset, and a pathological `usize::MAX` wrap
         // would otherwise turn "overdue for a snapshot" into "just took
         // one" (or panic in debug builds).
         self.records_since_snapshot = self.records_since_snapshot.saturating_add(1);
-        Ok(())
+        Ok(sum)
     }
 
     /// `true` once enough records accumulated since the last snapshot that
@@ -273,15 +304,32 @@ impl<S: Storage> Wal<S> {
     /// between the two writes leaves the old log alongside the new
     /// snapshot; replay is idempotent, so recovery still converges.
     pub fn install_snapshot<R: AsRef<[u8]>>(&mut self, records: &[R]) -> Result<(), StorageError> {
-        let mut blob = Vec::new();
-        for r in records {
-            frame_record(r.as_ref(), &mut blob);
-        }
-        self.backend.write_snapshot(&blob)?;
+        self.install_snapshot_with(|blob| {
+            blob.reserve_exact(
+                records.iter().map(|r| RECORD_HEADER_BYTES + r.as_ref().len()).sum(),
+            );
+            for r in records {
+                frame_in_place(blob, |out| out.extend_from_slice(r.as_ref()), checksum);
+            }
+        })
+    }
+
+    /// Replaces the snapshot area with the framed records `fill` appends
+    /// to an empty buffer (the backend's own, where it keeps one — see
+    /// [`Storage::write_snapshot_with`]) and truncates the log.
+    pub(crate) fn install_snapshot_with(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), StorageError> {
+        let mut len = 0;
+        self.backend.write_snapshot_with(|blob| {
+            fill(blob);
+            len = blob.len() as u64;
+        })?;
         self.backend.replace_log(&[])?;
         self.stats.snapshots_written += 1;
-        self.stats.last_snapshot_bytes = blob.len() as u64;
-        self.snapshot_sizes.push(blob.len() as u64);
+        self.stats.last_snapshot_bytes = len;
+        self.snapshot_sizes.push(len);
         self.records_since_snapshot = 0;
         Ok(())
     }

@@ -55,7 +55,7 @@ fn damage_and_replay<S: Storage + Clone>(
         log.append(ev).unwrap();
         if snapshot_at == Some(k) {
             let state = log.replay(3, pid(0), Vec::new()).unwrap();
-            log.install_snapshot(&state.to_snapshot_events()).unwrap();
+            state.compact_into(&mut log).unwrap();
         }
     }
     log.powerloss().unwrap();

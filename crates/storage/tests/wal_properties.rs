@@ -173,7 +173,7 @@ proptest! {
         let direct = log.replay(3, pid(0), Vec::new()).unwrap();
 
         let mut compacted: EventLog<Vec<u8>, MemStorage> = EventLog::new(MemStorage::new());
-        compacted.install_snapshot(&direct.to_snapshot_events()).unwrap();
+        direct.compact_into(&mut compacted).unwrap();
         let via_snapshot = compacted.replay(3, pid(0), Vec::new()).unwrap();
         prop_assert_eq!(via_snapshot.dag.len(), direct.dag.len());
         prop_assert_eq!(via_snapshot.own_round, direct.own_round);
